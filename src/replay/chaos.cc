@@ -848,7 +848,9 @@ ChaosEngine::run(TaskPool *pool)
             serve::JobRequest req;
             req.tenantId = t;
             req.workload = useQaoa ? wQaoa : wVqe;
-            req.params = prob.initialParams;
+            // Copy-construct, then move in: GCC 12 -O3 flags copy-assigning
+            // into the fresh request's empty vector with a false -Wnonnull.
+            req.params = std::vector<double>(prob.initialParams);
             req.params[0] += 0.13 * pair;
             req.params.back() +=
                 0.037 * roundKey[static_cast<std::size_t>(pair)];
@@ -1054,7 +1056,7 @@ ChaosEngine::runRouted(TaskPool *pool)
             serve::JobRequest req;
             req.tenantId = t;
             req.workload = useQaoa ? wQaoa : wVqe;
-            req.params = prob.initialParams;
+            req.params = std::vector<double>(prob.initialParams);
             req.params[0] += 0.13 * pair;
             req.params.back() +=
                 0.037 * roundKey[static_cast<std::size_t>(pair)];

@@ -2,8 +2,7 @@
  * @file
  * Shared event-scheduling core with pluggable clocks.
  *
- * The discrete-event machinery that used to live inside the simulation
- * layer (sim/event_queue.h) is generic: a time-ordered queue of
+ * The discrete-event machinery is generic: a time-ordered queue of
  * handlers, fired in (time, scheduling-order) sequence. What differs
  * between deployments is only *how time passes* between events. This
  * header pins that down:
@@ -112,9 +111,7 @@ class SteadyClock final : public Clock
  * Handlers scheduled for the past (or the present) fire as soon as the
  * loop reaches them, at the clock's current time — the loop clamps
  * rather than rejects, because under a wall clock "now" moves while
- * the caller computes. Deterministic-simulation users who want a hard
- * error on past timestamps keep it in their wrapper (see
- * sim/event_queue.h).
+ * the caller computes.
  */
 class EventLoop
 {

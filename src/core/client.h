@@ -65,7 +65,7 @@ class ClientNode
      * pull side decides (queue latency, Eq. 2 score, the job's own
      * random stream) so the heavy circuit evaluation can run later —
      * and concurrently with other clients' jobs — without touching the
-     * client's serial state. See the "virtual" engine's batched flush.
+     * client's serial state. See the event engine's batched flush.
      */
     struct PendingJob
     {
@@ -85,16 +85,18 @@ class ClientNode
     };
 
     /**
-     * Pull side of process(): sample the queue latency, compute the
-     * Eq. 2 score and fork the job's random stream. Must be called
-     * serially per client (it advances the client's stream and job
-     * counter); cheap — no circuit is executed.
+     * Pull side of a gradient job submitted at @p atTimeH: sample the
+     * queue latency, compute the Eq. 2 score and fork the job's random
+     * stream. Must be called serially per client (it advances the
+     * client's stream and job counter); cheap — no circuit is
+     * executed.
      */
     PendingJob beginProcess(const GradientTask &task, double atTimeH);
 
     /**
-     * Compute side of process(): run the parameter-shift circuits at
-     * the job's completion time. Safe to call concurrently for
+     * Compute side of a gradient job: run the parameter-shift circuits
+     * under the device's noise at the job's completion time,
+     * submitH + latencyH. Safe to call concurrently for
      * *different* clients (each client may have at most one job in
      * flight); consumes @p job's stream.
      * @param pool fan-out pool for the shift evaluations; nullptr
@@ -102,15 +104,6 @@ class ClientNode
      *        EqcOptions::engineThreads bounds the whole job.
      */
     Processed finishProcess(PendingJob &job, TaskPool *pool = nullptr);
-
-    /**
-     * Process a gradient task submitted at @p atTimeH — shorthand for
-     * beginProcess + finishProcess. The returned result's completion
-     * time is atTimeH + latencyH; the circuits are executed under the
-     * device's noise at completion time.
-     */
-    Processed process(const GradientTask &task, double atTimeH,
-                      TaskPool *pool = nullptr);
 
     /**
      * Evaluate the energy of @p params on this device at @p atTimeH

@@ -87,7 +87,7 @@ RunContext::applyResult(std::size_t ci,
                         double nowH)
 {
     nowH_ = nowH;
-    clock_->advanceTo(nowH);
+    clock_.advanceTo(nowH);
     const GradientResult &result = processed.result;
     double weight = master_.onResult(result);
     lastCompletionH_ = std::max(lastCompletionH_, nowH);
@@ -111,11 +111,11 @@ RunContext::applyResult(std::size_t ci,
             bottomStreak_[ci] = 0;
         }
     }
-    recordEpochs(ci);
+    recordEpochs();
 }
 
 void
-RunContext::recordEpochs(std::size_t applyingCi)
+RunContext::recordEpochs()
 {
     // Pull epoch records as soon as the master's epoch counter advances.
     while (static_cast<int>(trace_.epochs.size()) <
@@ -125,15 +125,9 @@ RunContext::recordEpochs(std::size_t applyingCi)
         EpochRecord rec;
         rec.epoch = static_cast<int>(trace_.epochs.size());
         rec.timeH = nowH_;
-        // Diagnostic energy on an ensemble member (round-robin where
-        // the engine allows it), so the plotted curve carries the
-        // mixture's measurement noise.
-        std::size_t evalCi =
-            epochEvalPolicy_ == EpochEvalPolicy::RoundRobin
-                ? rrEval_ % ensemble_.size()
-                : applyingCi;
-        ++rrEval_;
-        ClientNode &ev = ensemble_.client(evalCi);
+        // Diagnostic energy on a round-robin ensemble member, so the
+        // plotted curve carries the mixture's measurement noise.
+        ClientNode &ev = ensemble_.client(rrEval_++ % ensemble_.size());
         rec.energyDevice =
             ev.evaluateEnergy(master_.params(), nowH_, enginePool_);
         for (TraceObserver *obs : observers_)

@@ -47,7 +47,7 @@ class TaskPool;
  * Engines invoke these through RunContext while the run is in flight,
  * so telemetry is observed as it happens rather than reconstructed from
  * the finished trace. Calls are serialized by the same discipline as
- * RunContext::applyResult (the threaded engine holds its master mutex).
+ * RunContext::applyResult (engines call it from one thread at a time).
  */
 class TraceObserver
 {
@@ -106,24 +106,14 @@ class IdealEnergyObserver : public TraceObserver
  * update rule, the adaptive cooldown policy, round-robin epoch
  * evaluation, and trace/telemetry recording.
  *
- * RunContext is not internally synchronized: single-threaded engines
- * use it directly, concurrent engines must serialize applyResult /
- * cooldownUntil / done under one lock (see threaded_executor.cc).
+ * RunContext is not internally synchronized: an engine calls it from
+ * one thread at a time (the built-in engines only fan out gradient
+ * computations, never overlapping them with applyResult; see
+ * event_engine.cc).
  */
 class RunContext
 {
   public:
-    /**
-     * Which ensemble member evaluates the diagnostic energy of a
-     * finalized epoch. RoundRobin cycles through the ensemble (the
-     * deterministic DES default); ApplyingClient uses the client
-     * whose result is being applied — required by concurrent engines,
-     * where that client's worker is provably idle (it is the thread
-     * inside applyResult) while any other member may be mid-process()
-     * on its own thread.
-     */
-    enum class EpochEvalPolicy { RoundRobin, ApplyingClient };
-
     /**
      * @param problem the VQA under optimization (copied, so the
      *        context is self-contained and cannot dangle; the copy is
@@ -146,12 +136,6 @@ class RunContext
 
     std::size_t numClients() const { return ensemble_.size(); }
 
-    /** Engines choose their epoch-evaluation client before starting. */
-    void setEpochEvalPolicy(EpochEvalPolicy policy)
-    {
-        epochEvalPolicy_ = policy;
-    }
-
     /**
      * Fan-out pool the run's diagnostic evaluations use (epoch-energy
      * estimates). Engines that honor EqcOptions::engineThreads set
@@ -164,16 +148,12 @@ class RunContext
     TaskPool *enginePool() const { return enginePool_; }
 
     /**
-     * The run's shared clock. Defaults to an internal VirtualClock;
-     * engines that serve in real time (or hand the run to an
-     * event-driven subsystem like serve::ServiceNode) install their
-     * clock here so every component of the job agrees on what "now"
-     * means. Engines advance it as results apply.
+     * The run's model clock: a VirtualClock that applyResult advances
+     * to each applied result's hour. Engines that hand the run to an
+     * event-driven subsystem (serve::ServiceNode) pass it on, so every
+     * component of the job agrees on what "now" means.
      */
-    Clock &clock() { return *clock_; }
-
-    /** Replace the run's clock (not owned; must outlive the run). */
-    void setClock(Clock *clock) { clock_ = clock ? clock : &ownClock_; }
+    Clock &clock() { return clock_; }
 
     /** Virtual time of the most recently applied result (hours). */
     double nowH() const { return nowH_; }
@@ -191,11 +171,9 @@ class RunContext
     }
 
     /**
-     * Apply one completed gradient at virtual time @p nowH: master
+     * Apply one completed gradient at model time @p nowH: master
      * update, streamed telemetry, adaptive cooldown bookkeeping, and
-     * epoch recording. Engines must serialize calls (the DES engine is
-     * single-threaded by construction; the threaded engine wraps this
-     * in its master mutex).
+     * epoch recording. Engines must serialize calls.
      */
     void applyResult(std::size_t ci, const ClientNode::Processed &processed,
                      double nowH);
@@ -207,7 +185,7 @@ class RunContext
     EqcTrace takeTrace() { return std::move(trace_); }
 
   private:
-    void recordEpochs(std::size_t applyingCi);
+    void recordEpochs();
 
     VqaProblem problem_;
     EqcOptions options_;
@@ -216,11 +194,9 @@ class RunContext
     EqcTrace trace_;
     std::vector<TraceObserver *> observers_;
     TaskPool *enginePool_ = nullptr;
-    VirtualClock ownClock_;
-    Clock *clock_ = &ownClock_;
+    VirtualClock clock_;
     std::vector<int> bottomStreak_;
     std::vector<double> cooldownUntil_;
-    EpochEvalPolicy epochEvalPolicy_ = EpochEvalPolicy::RoundRobin;
     std::size_t rrEval_ = 0;
     double nowH_ = 0.0;
     double lastCompletionH_ = 0.0;
@@ -252,9 +228,10 @@ class ExecutionEngine
 /**
  * String-keyed registry of execution-engine factories.
  *
- * The built-in "virtual" (deterministic discrete-event) and "threaded"
- * (wall-clock scheduler + TaskPool fleet) engines are pre-registered;
- * deployments can add their own (batched, remote, ...) under new names.
+ * The built-in "virtual" (deterministic discrete-event), "threaded"
+ * (the same engine on a wall clock) and "service" engines are
+ * pre-registered; deployments can add their own (batched, remote, ...)
+ * under new names.
  */
 class EngineRegistry
 {
@@ -288,16 +265,19 @@ class EngineRegistry
 };
 
 /**
- * Factory for the deterministic discrete-event engine ("virtual").
- * Gradient batches fan out through a TaskPool; the trace is
- * bit-identical for every thread count (see EqcOptions::engineThreads).
+ * Factory for the event engine on a VirtualClock ("virtual"):
+ * deterministic discrete-event replay. Gradient batches fan out
+ * through a TaskPool; the trace is bit-identical for every thread
+ * count (see EqcOptions::engineThreads).
  */
 std::unique_ptr<ExecutionEngine> makeVirtualEngine();
 
 /**
- * Factory for the wall-clock engine ("threaded"): a single scheduler
- * thread owns the master, compute jobs run as TaskPool async tasks.
- * Intentionally non-deterministic (arrival order is the experiment).
+ * Factory for the same event engine on a SteadyClock ("threaded") at
+ * EqcOptions::hoursPerWallSecond. Intentionally non-deterministic
+ * (arrival order is the experiment).
+ * The engine's run() throws std::invalid_argument when the time scale
+ * is not positive and finite.
  */
 std::unique_ptr<ExecutionEngine> makeThreadedEngine();
 

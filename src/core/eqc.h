@@ -35,12 +35,13 @@ struct EqcOptions
     /**
      * EngineRegistry key of the execution engine to run on. Built-in:
      * "virtual" (deterministic discrete-event replay) and "threaded"
-     * (wall-clock scheduler fanning compute jobs over a TaskPool).
+     * (the same event engine on a wall clock).
      */
     std::string engine = "virtual";
     /**
      * Threaded engine only: virtual hours simulated per wall-clock
-     * second (queue latencies become scaled sleeps).
+     * second (queue latencies become scaled sleeps). Must be positive
+     * and finite; the engine throws std::invalid_argument otherwise.
      */
     double hoursPerWallSecond = 50.0;
     /**

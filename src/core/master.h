@@ -5,8 +5,8 @@
  * Holds the global parameter vector and the loss definition, hands out
  * parameter-differentiation tasks cyclically to whichever client is
  * free, and applies returned gradients with the weighted ASGD rule
- * (Eq. 4). The master is execution-engine agnostic: the virtual (DES)
- * executor and the threaded executor both drive this same class, so the
+ * (Eq. 4). The master is execution-engine agnostic: the event engine
+ * drives this same class on a virtual clock and on a wall clock, so the
  * asynchronous semantics — stale gradients, cyclic parameter order,
  * bounded delay — are identical in both deployments.
  */

@@ -3,8 +3,8 @@
 #include <functional>
 #include <memory>
 
+#include "common/event_loop.h"
 #include "common/logging.h"
-#include "sim/event_queue.h"
 #include "vqa/parameter_shift.h"
 
 namespace eqc {
@@ -191,7 +191,8 @@ runQnnEqcVirtual(const QnnProblem &problem,
         fatal("runQnnEqcVirtual: no eligible devices");
 
     QnnMaster master(problem, options);
-    Simulation sim;
+    VirtualClock clock;
+    EventLoop loop(clock);
     double lastCompletionH = 0.0;
 
     auto recordEpochs = [&](double tH) {
@@ -208,27 +209,27 @@ runQnnEqcVirtual(const QnnProblem &problem,
 
     std::function<void(std::size_t)> startClient =
         [&](std::size_t ci) {
-        if (master.done() || sim.now() > options.maxHours)
+        if (master.done() || loop.now() > options.maxHours)
             return;
         auto [paramIndex, dataIndex] = master.nextTask();
         std::vector<double> params = master.params();
         QnnClient::Out out = clients[ci]->process(paramIndex, dataIndex,
-                                                  params, sim.now());
-        sim.schedule(out.latencyH, [&, ci, paramIndex, out] {
+                                                  params, loop.now());
+        loop.schedule(out.latencyH, [&, ci, paramIndex, out] {
             if (master.done())
                 return;
             master.onResult(static_cast<int>(ci), paramIndex,
                             out.gradient, out.pCorrect);
-            lastCompletionH = sim.now();
+            lastCompletionH = loop.now();
             ++trace.jobsPerDevice[clients[ci]->device().name];
-            recordEpochs(sim.now());
+            recordEpochs(loop.now());
             startClient(ci);
         });
     };
 
     for (std::size_t ci = 0; ci < clients.size(); ++ci)
-        sim.scheduleAt(0.0, [&, ci] { startClient(ci); });
-    sim.run();
+        loop.scheduleAt(0.0, [&, ci] { startClient(ci); });
+    loop.run();
 
     trace.terminated = !master.done();
     trace.finalParams = master.params();

@@ -199,7 +199,8 @@ TEST(Client, ProcessReturnsPlausibleResult)
     task.paramIndex = 4;
     task.params = p.initialParams;
     task.version = 0;
-    auto out = client.process(task, 1.0);
+    ClientNode::PendingJob job = client.beginProcess(task, 1.0);
+    ClientNode::Processed out = client.finishProcess(job);
     EXPECT_EQ(out.result.paramIndex, 4);
     EXPECT_GT(out.latencyH, 0.0);
     EXPECT_GT(out.result.pCorrect, 0.0);
@@ -367,6 +368,56 @@ TEST(EqcThreaded, RunsAndConverges)
     double end = trace.epochs.back().energyIdeal;
     EXPECT_LT(end, start + 0.5); // must not diverge
     EXPECT_GE(trace.jobsPerDevice.size(), 2u);
+}
+
+TEST(EqcThreaded, AdaptivePolicyCoolsDownBadDevices)
+{
+    // EqcVirtual.AdaptivePolicyCoolsDownBadDevices on the wall clock:
+    // cooldown retries are rescheduled while "now" moves on its own.
+    VqaProblem p = makeHeisenbergVqe();
+    Device bad = deviceByName("ibmq_casablanca");
+    bad.drift.errorDriftPerHour = 0.5;
+    bad.drift.incidentRatePerHour = 0.1;
+    bad.drift.incidentSeverity = 8.0;
+    std::vector<Device> devices = {deviceByName("ibmq_bogota"),
+                                   deviceByName("ibmq_manila"), bad};
+    EqcOptions opts;
+    opts.master.epochs = 40;
+    opts.master.weightBounds = {0.5, 1.5};
+    opts.adaptive.enabled = true;
+    opts.adaptive.unstableStreak = 3;
+    opts.adaptive.cooldownH = 2.0;
+    opts.seed = 4;
+    opts.maxHours = 1e7; // wall compute time counts against the budget
+    opts.engine = "threaded";
+    opts.hoursPerWallSecond = 3000.0;
+    Runtime runtime;
+    EqcTrace trace = runtime.submit(p, devices, opts).take();
+    EXPECT_FALSE(trace.terminated);
+    EXPECT_GT(trace.cooldowns, 0);
+    ASSERT_EQ(trace.epochs.size(), 40u);
+}
+
+TEST(EqcEngines, TimeBudgetTerminatesUnderBothClocks)
+{
+    // Half a model hour cannot fit 1000 epochs on either clock: every
+    // client retires past maxHours and the trace reports termination.
+    VqaProblem p = makeHeisenbergVqe();
+    std::vector<Device> devices = {deviceByName("ibmq_bogota"),
+                                   deviceByName("ibmq_manila"),
+                                   deviceByName("ibmq_quito")};
+    for (const char *engine : {"virtual", "threaded"}) {
+        EqcOptions opts;
+        opts.master.epochs = 1000;
+        opts.maxHours = 0.5;
+        opts.seed = 6;
+        opts.engine = engine;
+        opts.hoursPerWallSecond = 3000.0;
+        Runtime runtime;
+        EqcTrace trace = runtime.submit(p, devices, opts).take();
+        EXPECT_TRUE(trace.terminated) << engine;
+        EXPECT_LT(trace.epochs.size(), 1000u) << engine;
+    }
 }
 
 } // namespace

@@ -1,82 +1,93 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <vector>
 
 #include "common/event_loop.h"
-#include "sim/event_queue.h"
 
 namespace eqc {
 namespace {
 
-TEST(Simulation, EventsRunInTimeOrder)
+// ---------------------------------------------------------------------------
+// EventLoop on a VirtualClock: the deterministic discrete-event
+// configuration the EQC engines replay on
+// ---------------------------------------------------------------------------
+
+TEST(VirtualEventLoop, EventsRunInTimeOrder)
 {
-    Simulation sim;
+    VirtualClock clock;
+    EventLoop loop(clock);
     std::vector<int> order;
-    sim.schedule(3.0, [&] { order.push_back(3); });
-    sim.schedule(1.0, [&] { order.push_back(1); });
-    sim.schedule(2.0, [&] { order.push_back(2); });
-    sim.run();
+    loop.schedule(3.0, [&] { order.push_back(3); });
+    loop.schedule(1.0, [&] { order.push_back(1); });
+    loop.schedule(2.0, [&] { order.push_back(2); });
+    loop.run();
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], 1);
     EXPECT_EQ(order[1], 2);
     EXPECT_EQ(order[2], 3);
-    EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+    EXPECT_DOUBLE_EQ(loop.now(), 3.0);
 }
 
-TEST(Simulation, EqualTimesFifoBySequence)
+TEST(VirtualEventLoop, EqualTimesFifoBySequence)
 {
-    Simulation sim;
+    VirtualClock clock;
+    EventLoop loop(clock);
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
-        sim.schedule(1.0, [&, i] { order.push_back(i); });
-    sim.run();
+        loop.schedule(1.0, [&, i] { order.push_back(i); });
+    loop.run();
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(Simulation, HandlersCanScheduleMoreEvents)
+TEST(VirtualEventLoop, HandlersCanScheduleMoreEvents)
 {
-    Simulation sim;
+    VirtualClock clock;
+    EventLoop loop(clock);
     int fired = 0;
     std::function<void()> chain = [&] {
         ++fired;
         if (fired < 10)
-            sim.schedule(0.5, chain);
+            loop.schedule(0.5, chain);
     };
-    sim.schedule(0.0, chain);
-    sim.run();
+    loop.schedule(0.0, chain);
+    loop.run();
     EXPECT_EQ(fired, 10);
-    EXPECT_DOUBLE_EQ(sim.now(), 4.5);
-    EXPECT_EQ(sim.processed(), 10u);
+    EXPECT_DOUBLE_EQ(loop.now(), 4.5);
+    EXPECT_EQ(loop.processed(), 10u);
 }
 
-TEST(Simulation, RunUntilLeavesLaterEventsQueued)
+TEST(VirtualEventLoop, RunUntilLeavesLaterEventsQueued)
 {
-    Simulation sim;
+    VirtualClock clock;
+    EventLoop loop(clock);
     int fired = 0;
-    sim.schedule(1.0, [&] { ++fired; });
-    sim.schedule(5.0, [&] { ++fired; });
-    sim.runUntil(2.0);
+    loop.schedule(1.0, [&] { ++fired; });
+    loop.schedule(5.0, [&] { ++fired; });
+    loop.runUntil(2.0);
     EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(sim.empty());
-    sim.run();
+    EXPECT_FALSE(loop.empty());
+    loop.run();
     EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulation, ScheduleAtAbsoluteTime)
+TEST(VirtualEventLoop, ScheduleAtAbsoluteTime)
 {
-    Simulation sim;
+    VirtualClock clock;
+    EventLoop loop(clock);
     double seen = -1.0;
-    sim.scheduleAt(7.25, [&] { seen = sim.now(); });
-    sim.run();
+    loop.scheduleAt(7.25, [&] { seen = loop.now(); });
+    loop.run();
     EXPECT_DOUBLE_EQ(seen, 7.25);
 }
 
 // ---------------------------------------------------------------------------
-// The shared EventLoop / Clock core the Simulation wraps
+// Clock semantics of the shared EventLoop
 // ---------------------------------------------------------------------------
 
-TEST(EventLoop, VirtualClockMatchesSimulationSemantics)
+TEST(EventLoop, VirtualClockJumpsToEachEvent)
 {
     VirtualClock clock;
     EventLoop loop(clock);

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "common/rng.h"
@@ -535,34 +534,6 @@ TEST(TaskPool, ParallelJobsFansOutSmallCounts)
             allOnce = allOnce && hits[i] == 1;
         EXPECT_TRUE(allOnce) << "count " << count;
     }
-}
-
-TEST(TaskPool, AsyncJobsRunAndDrain)
-{
-    TaskPool pool(3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 20; ++i)
-        pool.async([&done] { ++done; });
-    pool.drainAsync();
-    EXPECT_EQ(done.load(), 20);
-
-    // Async jobs may themselves use the pool's parallel-for without
-    // deadlocking (a busy pool degrades to inline execution).
-    std::atomic<uint64_t> covered{0};
-    pool.async([&] {
-        pool.parallelFor(0, 10000, [&](uint64_t b, uint64_t e) {
-            covered += e - b;
-        });
-    });
-    pool.drainAsync();
-    EXPECT_EQ(covered.load(), uint64_t{10000});
-
-    // A 1-thread pool has no resident workers: async runs inline.
-    TaskPool serial(1);
-    int ran = 0;
-    serial.async([&ran] { ++ran; });
-    EXPECT_EQ(ran, 1);
-    serial.drainAsync();
 }
 
 TEST(TaskPool, NestedParallelForFallsBackInline)

@@ -59,6 +59,29 @@ TEST(EngineRegistry, UnknownEngineFailsWithClearMessage)
     EXPECT_EQ(rt.pendingJobs(), 0u);
 }
 
+TEST(EngineRegistry, ThreadedEngineRejectsNonPositiveTimeScale)
+{
+    // A bad time scale is an error the job hands back, not a process
+    // exit: it must surface through the handle, on the inline path and
+    // from a runAll worker thread alike.
+    VqaProblem p = makeHeisenbergVqe();
+    EqcOptions opts;
+    opts.engine = "threaded";
+    opts.hoursPerWallSecond = 0.0;
+    Runtime rt;
+    EXPECT_THROW(rt.submit(p, smallEnsemble(), opts).take(),
+                 std::invalid_argument);
+    EXPECT_EQ(rt.pendingJobs(), 0u);
+
+    opts.hoursPerWallSecond = -5.0;
+    JobHandle a = rt.submit(p, smallEnsemble(), opts);
+    JobHandle b = rt.submit(p, smallEnsemble(), opts);
+    rt.runAll();
+    EXPECT_EQ(rt.pendingJobs(), 0u);
+    EXPECT_THROW(a.get(), std::invalid_argument);
+    EXPECT_THROW(b.take(), std::invalid_argument);
+}
+
 TEST(EngineParity, VirtualEngineIsBitDeterministic)
 {
     VqaProblem p = makeHeisenbergVqe();

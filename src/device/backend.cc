@@ -19,8 +19,17 @@ struct SimulatedQpu::ExecPlan
     FusedProgram noisy;
     /** Full fusion: the noiseless statevector fast path. */
     FusedProgram ideal;
-    /** Compact qubit -> physical id (calibration lookups). */
+    /** Compact qubit -> physical id. */
     std::vector<int> physOf;
+    /** Compact qubit -> noise-context qubit slot. */
+    std::vector<int> qubitSlot;
+    /**
+     * Per op of `noisy`: the CX pair's noise-context slot; -1 for other
+     * ops and for a CX on a pair without calibrated CX noise.
+     */
+    std::vector<int> cxSlot;
+    /** Qubit and pair slots a context must cover to run this plan. */
+    std::size_t needQubits = 0, needPairs = 0;
     /** MEASURE targets (compact qubits) in program order. */
     std::vector<int> measured;
     /**
@@ -36,26 +45,32 @@ struct SimulatedQpu::ExecPlan
 struct SimulatedQpu::NoiseContext
 {
     double timeH = 0.0;
-    CalibrationSnapshot cal;
+    /** Statevector fast path: no slot is built, any plan is covered. */
     bool noiseless = false;
 
-    /** Thermal-relaxation factors per physical qubit for the 1q time. */
-    std::vector<double> g1Gamma, g1Coherence;
-    /** Coherent RX miscalibration, precompiled per physical qubit. */
-    std::vector<char> hasRx;
-    std::vector<std::array<Complex, 4>> rx;
-    /**
-     * Per-qubit post-gate noise superoperator for physical 1q gates:
-     * the 4x4 composition depolarizing(gate1qError) * thermal(1q gate
-     * time) over the vectorized sub-index k + 2b. execute() left-
-     * multiplies it onto each fused unitary's U (x) conj(U) so the
-     * whole gate+noise sequence costs a single kernel pass.
-     */
-    std::vector<std::array<Complex, 16>> n1;
-    /** n1 is the identity and no rx: plain unitary apply suffices. */
-    std::vector<char> n1Trivial;
+    /** Per qubit slot. */
+    struct QubitNoise
+    {
+        /** Thermal-relaxation factors for the 1q gate time. */
+        double g1Gamma = 0.0, g1Coherence = 1.0;
+        /** Coherent RX miscalibration, precompiled. */
+        bool hasRx = false;
+        std::array<Complex, 4> rx;
+        /**
+         * Post-gate noise superoperator for physical 1q gates: the 4x4
+         * composition depolarizing(gate1qError) * thermal(1q gate
+         * time) over the vectorized sub-index k + 2b. execute() left-
+         * multiplies it onto each fused unitary's U (x) conj(U) so the
+         * whole gate+noise sequence costs a single kernel pass.
+         */
+        std::array<Complex, 16> n1;
+        /** n1 is the identity and no rx: plain unitary apply suffices. */
+        bool n1Trivial = false;
+        ReadoutError readout;
+    };
+    std::vector<QubitNoise> qubits;
 
-    /** Per-pair CX noise, keyed by (min, max) physical ids. */
+    /** Per pair slot: CX noise. */
     struct CxNoise
     {
         double err = 0.0;
@@ -67,7 +82,13 @@ struct SimulatedQpu::NoiseContext
         double gammaLo = 0.0, cohLo = 1.0;
         double gammaHi = 0.0, cohHi = 1.0;
     };
-    std::map<std::pair<int, int>, CxNoise> cx;
+    std::vector<CxNoise> cx;
+
+    bool covers(const ExecPlan &plan) const
+    {
+        return noiseless || (qubits.size() >= plan.needQubits &&
+                             cx.size() >= plan.needPairs);
+    }
 };
 
 namespace {
@@ -154,18 +175,29 @@ matMul(Complex *c, const Complex *a, const Complex *b, int sub)
         }
 }
 
-/** true when the calibration carries effectively no noise. */
+/**
+ * true when the actual calibration at @p d carries no noise at all:
+ * no stochastic error, no readout error, effectively infinite T1 and
+ * T2, and no coherent miscalibration.
+ */
 bool
-isNoiseless(const CalibrationSnapshot &cal)
+isNoiseless(const CalibrationTracker &tracker,
+            const CalibrationTracker::Drift &d)
 {
-    for (const auto &q : cal.qubits) {
-        if (q.gate1qError > 0.0 || q.readout.p01 > 0.0 ||
-            q.readout.p10 > 0.0 || q.t1Us < 1e7) {
+    const CalibrationSnapshot &base = tracker.base();
+    for (std::size_t q = 0; q < base.qubits.size(); ++q) {
+        const QubitCalibration qc = tracker.actualQubit(d, q);
+        if (qc.gate1qError > 0.0 || qc.readout.p01 > 0.0 ||
+            qc.readout.p10 > 0.0 || qc.t1Us < 1e7 || qc.t2Us < 1e7 ||
+            qc.coherentRxRad != 0.0) {
             return false;
         }
     }
-    for (const auto &[k, v] : cal.cxError)
-        if (v > 0.0)
+    for (const auto &[k, v] : base.cxError)
+        if (CalibrationTracker::actualCxError(d, v) > 0.0)
+            return false;
+    for (const auto &[k, v] : base.cxPhaseRad)
+        if (CalibrationTracker::actualCxPhase(d, v) != 0.0)
             return false;
     return true;
 }
@@ -187,7 +219,9 @@ SimulatedQpu::SimulatedQpu(SimulatedQpu &&other) noexcept
       tracker_(std::move(other.tracker_)),
       queue_(std::move(other.queue_)),
       planCache_(std::move(other.planCache_)),
-      ctxCache_(std::move(other.ctxCache_))
+      ctxCache_(std::move(other.ctxCache_)),
+      slotQubit_(std::move(other.slotQubit_)),
+      slotPair_(std::move(other.slotPair_))
 {
 }
 
@@ -218,6 +252,48 @@ SimulatedQpu::planFor(const TranspiledCircuit &tc)
         if (op.type == GateType::MEASURE)
             plan->measured.push_back(op.qubits[0]);
 
+    {
+        // Register the plan's qubits and CX pairs for noise-context
+        // coverage, reusing the slot of anything seen before.
+        std::lock_guard<std::mutex> lk(ctxMu_);
+        for (int p : plan->physOf) {
+            auto it = std::find(slotQubit_.begin(), slotQubit_.end(), p);
+            const std::size_t slot = it - slotQubit_.begin();
+            if (it == slotQubit_.end())
+                slotQubit_.push_back(p);
+            plan->qubitSlot.push_back(static_cast<int>(slot));
+            plan->needQubits = std::max(plan->needQubits, slot + 1);
+        }
+        const CalibrationSnapshot &base = tracker_.base();
+        for (const FusedOp &op : plan->noisy.ops) {
+            int slot = -1;
+            if (op.primary == GateType::CX) {
+                const auto [lo, hi] =
+                    std::minmax(plan->physOf[op.q0], plan->physOf[op.q1]);
+                auto it = std::find_if(
+                    slotPair_.begin(), slotPair_.end(),
+                    [&](const CxPair &c) { return c.lo == lo && c.hi == hi; });
+                if (it != slotPair_.end()) {
+                    slot = static_cast<int>(it - slotPair_.begin());
+                } else {
+                    auto err = base.cxError.find({lo, hi});
+                    auto time = base.cxTimeNs.find({lo, hi});
+                    if (err != base.cxError.end() &&
+                        time != base.cxTimeNs.end()) {
+                        slot = static_cast<int>(slotPair_.size());
+                        slotPair_.push_back({lo, hi, err->second,
+                                             time->second,
+                                             base.cxPhaseFor(lo, hi)});
+                    }
+                }
+                if (slot >= 0)
+                    plan->needPairs = std::max(
+                        plan->needPairs, static_cast<std::size_t>(slot) + 1);
+            }
+            plan->cxSlot.push_back(slot);
+        }
+    }
+
     std::lock_guard<std::mutex> lk(planMu_);
     // Possibly racing another builder, or evicting a hash collision;
     // either way the freshly built plan is a correct occupant, and
@@ -237,78 +313,76 @@ SimulatedQpu::planCacheContains(const TranspiledCircuit &tc) const
 }
 
 std::shared_ptr<const SimulatedQpu::NoiseContext>
-SimulatedQpu::noiseContextFor(double tH)
+SimulatedQpu::noiseContextFor(double tH, const ExecPlan &plan)
 {
     // Held across the build: a gradient batch lands all its circuit
     // executions on one fresh timestamp at once, and one thread
     // constructing while the rest wait beats every worker redundantly
-    // re-deriving the same snapshot and superoperators. The cache is
-    // keyed per timestamp (bounded, oldest-time eviction) because the
-    // serving layer interleaves shards of different jobs — different
-    // completion times — on one backend; a single-entry cache would
-    // ping-pong and rebuild on nearly every circuit execution.
+    // re-deriving the same entries. The cache is keyed per timestamp
+    // (bounded, oldest-time eviction) because the serving layer
+    // interleaves shards of different jobs — different completion
+    // times — on one backend; a single-entry cache would ping-pong and
+    // rebuild on nearly every circuit execution.
     std::lock_guard<std::mutex> lk(ctxMu_);
     auto cached = ctxCache_.find(tH);
-    if (cached != ctxCache_.end())
+    if (cached != ctxCache_.end() && cached->second->covers(plan))
         return cached->second;
 
+    // Every entry is a pure function of (tH, qubit or pair), so a
+    // rebuild over more slots reproduces the old slots bit for bit.
     auto ctx = std::make_shared<NoiseContext>();
     ctx->timeH = tH;
-    ctx->cal = tracker_.actual(tH);
-    ctx->noiseless = isNoiseless(ctx->cal);
-
-    const double t1qUs = ctx->cal.gate1qTimeNs / 1000.0;
-    const std::size_t nq = ctx->cal.qubits.size();
-    ctx->g1Gamma.resize(nq);
-    ctx->g1Coherence.resize(nq);
-    ctx->hasRx.assign(nq, 0);
-    ctx->rx.resize(nq);
-    ctx->n1.resize(nq);
-    ctx->n1Trivial.assign(nq, 0);
-    for (std::size_t q = 0; q < nq; ++q) {
-        const QubitCalibration &qc = ctx->cal.qubits[q];
-        thermalFactors(qc, t1qUs, ctx->g1Gamma[q], ctx->g1Coherence[q]);
-        if (qc.coherentRxRad != 0.0) {
-            ctx->hasRx[q] = 1;
-            const double angle[1] = {qc.coherentRxRad};
-            gateEntries(GateType::RX, angle, ctx->rx[q].data());
+    const CalibrationTracker::Drift drift = tracker_.driftAt(tH);
+    ctx->noiseless = isNoiseless(tracker_, drift);
+    if (!ctx->noiseless) {
+        const double t1qUs = tracker_.base().gate1qTimeNs / 1000.0;
+        ctx->qubits.resize(slotQubit_.size());
+        for (std::size_t slot = 0; slot < slotQubit_.size(); ++slot) {
+            const QubitCalibration qc =
+                tracker_.actualQubit(drift, slotQubit_[slot]);
+            NoiseContext::QubitNoise &qn = ctx->qubits[slot];
+            thermalFactors(qc, t1qUs, qn.g1Gamma, qn.g1Coherence);
+            if (qc.coherentRxRad != 0.0) {
+                qn.hasRx = true;
+                const double angle[1] = {qc.coherentRxRad};
+                gateEntries(GateType::RX, angle, qn.rx.data());
+            }
+            // The channel physics stays in quantum/kraus.h: thermal
+            // relaxation then depolarizing, as a 4x4 superoperator.
+            thermalDepolarizingSuperop(qc.t1Us, qc.t2Us, t1qUs,
+                                       qc.gate1qError, qn.n1.data());
+            qn.n1Trivial = !qn.hasRx && qc.gate1qError <= 0.0 &&
+                           qn.g1Gamma == 0.0 && qn.g1Coherence == 1.0;
+            qn.readout = qc.readout;
         }
-        // One source of truth for the channel physics: thermal
-        // relaxation then depolarizing, composed in Kraus form
-        // (quantum/kraus.h) and flattened to the 4x4 superoperator.
-        const KrausChannel seq =
-            thermalRelaxation(qc.t1Us, qc.t2Us, t1qUs)
-                .composeWith(depolarizing1q(qc.gate1qError));
-        const CVector &s = seq.superopMatrix();
-        std::copy(s.begin(), s.end(), ctx->n1[q].begin());
-        ctx->n1Trivial[q] = !ctx->hasRx[q] && qc.gate1qError <= 0.0 &&
-                            ctx->g1Gamma[q] == 0.0 &&
-                            ctx->g1Coherence[q] == 1.0;
-    }
-    for (const auto &[pair, err] : ctx->cal.cxError) {
-        auto timeIt = ctx->cal.cxTimeNs.find(pair);
-        if (timeIt == ctx->cal.cxTimeNs.end())
-            continue; // no duration on record: unusable pair
-        NoiseContext::CxNoise cn;
-        const double durUs = timeIt->second / 1000.0;
-        const double phase =
-            ctx->cal.cxPhaseFor(pair.first, pair.second);
-        if (phase != 0.0) {
-            cn.hasZz = true;
-            const double angle[1] = {phase};
-            gateEntries(GateType::RZZ, angle, cn.zz);
+        ctx->cx.resize(slotPair_.size());
+        for (std::size_t slot = 0; slot < slotPair_.size(); ++slot) {
+            const CxPair &pair = slotPair_[slot];
+            NoiseContext::CxNoise &cn = ctx->cx[slot];
+            const double durUs = pair.timeNs / 1000.0;
+            const double phase =
+                CalibrationTracker::actualCxPhase(drift, pair.basePhase);
+            if (phase != 0.0) {
+                cn.hasZz = true;
+                const double angle[1] = {phase};
+                gateEntries(GateType::RZZ, angle, cn.zz);
+            }
+            cn.err = CalibrationTracker::actualCxError(drift, pair.baseErr);
+            thermalFactors(tracker_.actualQubit(drift, pair.lo), durUs,
+                           cn.gammaLo, cn.cohLo);
+            thermalFactors(tracker_.actualQubit(drift, pair.hi), durUs,
+                           cn.gammaHi, cn.cohHi);
+            cn.trivial = cn.err <= 0.0 && cn.gammaLo == 0.0 &&
+                         cn.cohLo == 1.0 && cn.gammaHi == 0.0 &&
+                         cn.cohHi == 1.0;
         }
-        cn.err = err;
-        thermalFactors(ctx->cal.qubits[pair.first], durUs, cn.gammaLo,
-                       cn.cohLo);
-        thermalFactors(ctx->cal.qubits[pair.second], durUs, cn.gammaHi,
-                       cn.cohHi);
-        cn.trivial = err <= 0.0 && cn.gammaLo == 0.0 &&
-                     cn.cohLo == 1.0 && cn.gammaHi == 0.0 &&
-                     cn.cohHi == 1.0;
-        ctx->cx.emplace(pair, cn);
     }
 
+    if (cached != ctxCache_.end()) {
+        // Coverage miss: in-flight readers keep the old context alive.
+        cached->second = ctx;
+        return ctx;
+    }
     auto inserted = ctxCache_.emplace(tH, std::move(ctx)).first;
     if (ctxCache_.size() > kMaxNoiseContexts) {
         auto victim = ctxCache_.begin(); // oldest virtual time
@@ -322,10 +396,11 @@ SimulatedQpu::noiseContextFor(double tH)
 CalibrationSnapshot
 SimulatedQpu::reportedCalibration(double tH) const
 {
+    const CalibrationTracker::ReportedKey key = tracker_.reportedKey(tH);
     std::lock_guard<std::mutex> lk(reportedMu_);
-    if (!hasReported_ || reportedTimeH_ != tH) {
+    if (!hasReported_ || !(reportedKey_ == key)) {
         reportedCal_ = tracker_.reported(tH);
-        reportedTimeH_ = tH;
+        reportedKey_ = key;
         hasReported_ = true;
     }
     return reportedCal_;
@@ -343,7 +418,7 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
     const std::shared_ptr<const ExecPlan> planPtr = planFor(tc);
     const ExecPlan &plan = *planPtr;
     const std::shared_ptr<const NoiseContext> ctxPtr =
-        noiseContextFor(atTimeH);
+        noiseContextFor(atTimeH, plan);
     const NoiseContext &nc = *ctxPtr;
 
     JobResult result;
@@ -359,7 +434,8 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
     } else {
         DensityMatrix dm(n);
         Complex scratch[16];
-        for (const FusedOp &op : plan.noisy.ops) {
+        for (std::size_t i = 0; i < plan.noisy.ops.size(); ++i) {
+            const FusedOp &op = plan.noisy.ops[i];
             // Evaluate the fused unitary (symbolic ops rebuild their at
             // most 4x4 product; gate+noise sequences below fold it into
             // one channel superoperator instead of applying it here).
@@ -384,9 +460,10 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
                 break;
               case GateType::ID: {
                 // Explicit idle: thermal relaxation only, no unitary.
-                const int p0 = plan.physOf[op.q0];
-                dm.applyThermalRelaxation(op.q0, nc.g1Gamma[p0],
-                                          nc.g1Coherence[p0]);
+                const NoiseContext::QubitNoise &qn =
+                    nc.qubits[plan.qubitSlot[op.q0]];
+                dm.applyThermalRelaxation(op.q0, qn.g1Gamma,
+                                          qn.g1Coherence);
                 break;
               }
               case GateType::SX:
@@ -396,13 +473,14 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
                 // coherent miscalibration, thermal relaxation and
                 // depolarizing compose into a single 4x4 channel
                 // superoperator N1 * (W (x) conj(W)).
-                const int p0 = plan.physOf[op.q0];
+                const NoiseContext::QubitNoise &qn =
+                    nc.qubits[plan.qubitSlot[op.q0]];
                 Complex w[4];
-                if (nc.hasRx[p0])
-                    matMul(w, nc.rx[p0].data(), u, 2);
+                if (qn.hasRx)
+                    matMul(w, qn.rx.data(), u, 2);
                 else
                     std::memcpy(w, u, sizeof(w));
-                if (nc.n1Trivial[p0]) {
+                if (qn.n1Trivial) {
                     dm.applyGate1(w, op.q0);
                     break;
                 }
@@ -414,18 +492,15 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
                                 m[(kp + 2 * bp) * 4 + (k + 2 * b)] =
                                     w[kp * 2 + k] *
                                     std::conj(w[bp * 2 + b]);
-                matMul(s, nc.n1[p0].data(), m, 4);
+                matMul(s, qn.n1.data(), m, 4);
                 dm.applyChannelSuperop1(s, op.q0);
                 break;
               }
               case GateType::CX: {
-                const int p0 = plan.physOf[op.q0];
-                const int p1 = plan.physOf[op.q1];
-                const auto key = std::minmax(p0, p1);
-                auto it = nc.cx.find({key.first, key.second});
-                if (it == nc.cx.end())
+                const int slot = plan.cxSlot[i];
+                if (slot < 0)
                     panic("SimulatedQpu: CX on uncoupled qubits");
-                const NoiseContext::CxNoise &cn = it->second;
+                const NoiseContext::CxNoise &cn = nc.cx[slot];
                 if (cn.hasZz) {
                     // Residual ZZ phase accompanying the CX pulse
                     // (swap-symmetric diagonal, orientation-free):
@@ -441,7 +516,8 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
                 if (!cn.trivial) {
                     // One block-local pass for depolarizing + both
                     // endpoints' thermal relaxation.
-                    const bool lo0 = p0 == key.first;
+                    const bool lo0 =
+                        plan.physOf[op.q0] < plan.physOf[op.q1];
                     dm.applyDepolThermal2q(
                         cn.err, op.q0, lo0 ? cn.gammaLo : cn.gammaHi,
                         lo0 ? cn.cohLo : cn.cohHi, op.q1,
@@ -457,11 +533,9 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
         }
         result.probabilities = dm.probabilities();
         // SPAM: per-qubit readout confusion on the measured qubits.
-        for (int q : plan.measured) {
-            const QubitCalibration &qc =
-                nc.cal.qubits[plan.physOf[q]];
-            applyReadoutError(result.probabilities, q, qc.readout);
-        }
+        for (int q : plan.measured)
+            applyReadoutError(result.probabilities, q,
+                              nc.qubits[plan.qubitSlot[q]].readout);
     }
 
     if (sampleCounts && shots > 0)

@@ -101,7 +101,10 @@ class SimulatedQpu : public QuantumBackend
 
     ~SimulatedQpu() override;
 
-    /** Movable (the plan cache moves along; the mutex starts fresh). */
+    /**
+     * Movable (the plan cache, noise contexts and their coverage slots
+     * move along; the mutexes start fresh).
+     */
     SimulatedQpu(SimulatedQpu &&other) noexcept;
 
     JobResult execute(const TranspiledCircuit &tc,
@@ -141,12 +144,14 @@ class SimulatedQpu : public QuantumBackend
     /**
      * Everything execute() derives from the actual calibration at one
      * submission time, cached so the many circuits of a gradient batch
-     * (all submitted at the same completion time) build it once:
-     * the drifted snapshot itself, per-qubit noise superoperators and
-     * thermal-relaxation factors for the 1q gate time, precompiled
-     * coherent-miscalibration and ZZ-phase entries, and per-pair CX
-     * noise. (Circuit durations live on the ExecPlan — gate times
-     * never drift.) Safe to share across concurrently executing jobs.
+     * (all submitted at the same completion time) build it once: the
+     * noiseless decision, and for each covered qubit its 1q noise
+     * superoperator, thermal-relaxation factors for the 1q gate time,
+     * coherent-miscalibration entries and readout error, and for each
+     * covered coupled pair its CX noise. Covers only the qubits and
+     * pairs that cached plans touch (see the coverage slots below).
+     * (Circuit durations live on the ExecPlan — gate times never
+     * drift.) Safe to share across concurrently executing jobs.
      */
     struct NoiseContext;
 
@@ -154,12 +159,27 @@ class SimulatedQpu : public QuantumBackend
     std::shared_ptr<const ExecPlan> planFor(const TranspiledCircuit &tc);
 
     /**
-     * Cached noise context for time @p tH. The cache holds up to
-     * kMaxNoiseContexts timestamps (oldest virtual time evicted) so
-     * concurrently executing jobs with different completion times —
-     * the serving layer's shard fan-out — don't thrash it.
+     * Cached noise context for time @p tH that covers @p plan. The
+     * cache holds up to kMaxNoiseContexts timestamps (oldest virtual
+     * time evicted) so concurrently executing jobs with different
+     * completion times — the serving layer's shard fan-out — don't
+     * thrash it. A cached context that lacks a slot @p plan needs is
+     * rebuilt over every slot registered so far.
      */
-    std::shared_ptr<const NoiseContext> noiseContextFor(double tH);
+    std::shared_ptr<const NoiseContext>
+    noiseContextFor(double tH, const ExecPlan &plan);
+
+    /**
+     * A coupled pair a plan's CX runs on, with the base-calibration
+     * entries its noise is derived from.
+     */
+    struct CxPair
+    {
+        int lo = 0, hi = 0; ///< physical ids, lo < hi
+        double baseErr = 0.0;
+        double timeNs = 0.0;
+        double basePhase = 0.0;
+    };
 
     Device dev_;
     CalibrationTracker tracker_;
@@ -173,10 +193,19 @@ class SimulatedQpu : public QuantumBackend
 
     std::mutex ctxMu_;
     std::map<double, std::shared_ptr<const NoiseContext>> ctxCache_;
+    /// @name Noise-context coverage (guarded by ctxMu_)
+    /// Each physical qubit and coupled pair some plan uses gets a dense
+    /// slot, in first-use order; slots never move. A context built
+    /// over N qubit slots covers every plan whose qubits all sit below
+    /// N, and likewise for pairs.
+    /// @{
+    std::vector<int> slotQubit_;   ///< qubit slot -> physical id
+    std::vector<CxPair> slotPair_; ///< pair slot -> coupled pair
+    /// @}
 
     mutable std::mutex reportedMu_;
     mutable bool hasReported_ = false;
-    mutable double reportedTimeH_ = 0.0;
+    mutable CalibrationTracker::ReportedKey reportedKey_;
     mutable CalibrationSnapshot reportedCal_;
 };
 

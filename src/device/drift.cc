@@ -16,6 +16,18 @@ clampError(double e)
     return std::clamp(e, 0.0, 0.75);
 }
 
+/** One qubit of snapshotAtCalibration: quality @p f, T1/T2 scale @p ft. */
+void
+applyQuality(QubitCalibration &q, double f, double ft)
+{
+    q.t1Us *= ft;
+    q.t2Us = std::min(q.t2Us * ft, 2.0 * q.t1Us);
+    q.gate1qError = clampError(q.gate1qError * f);
+    q.readout.p01 = clampError(q.readout.p01 * f);
+    q.readout.p10 = clampError(q.readout.p10 * f);
+    q.coherentRxRad *= f; // signed miscalibration scales too
+}
+
 } // namespace
 
 DriftParams
@@ -123,14 +135,8 @@ CalibrationTracker::snapshotAtCalibration(std::size_t idx) const
     CalibrationSnapshot s = base_;
     double f = calQuality_[idx];
     double coherenceF = 1.0 / std::sqrt(f);
-    for (QubitCalibration &q : s.qubits) {
-        q.t1Us *= coherenceF;
-        q.t2Us = std::min(q.t2Us * coherenceF, 2.0 * q.t1Us);
-        q.gate1qError = clampError(q.gate1qError * f);
-        q.readout.p01 = clampError(q.readout.p01 * f);
-        q.readout.p10 = clampError(q.readout.p10 * f);
-        q.coherentRxRad *= f; // signed miscalibration scales too
-    }
+    for (QubitCalibration &q : s.qubits)
+        applyQuality(q, f, coherenceF);
     for (auto &[k, v] : s.cxError)
         v = clampError(v * f);
     for (auto &[k, v] : s.cxPhaseRad)
@@ -139,17 +145,29 @@ CalibrationTracker::snapshotAtCalibration(std::size_t idx) const
     return s;
 }
 
+CalibrationTracker::ReportedKey
+CalibrationTracker::reportedKey(double tH) const
+{
+    ReportedKey k;
+    k.calIdx = calIndex(tH);
+    if (params_.coherenceRefreshH > 0.0 &&
+        params_.coherenceDriftPerHour > 0.0) {
+        k.refreshStep = std::floor(hoursSinceCalibration(tH) /
+                                   params_.coherenceRefreshH);
+    }
+    return k;
+}
+
 CalibrationSnapshot
 CalibrationTracker::reported(double tH) const
 {
-    CalibrationSnapshot s = snapshotAtCalibration(calIndex(tH));
+    const ReportedKey key = reportedKey(tH);
+    CalibrationSnapshot s = snapshotAtCalibration(key.calIdx);
     // T1/T2 are republished every coherenceRefreshH hours, so the
     // reported coherence tracks the true degradation in steps.
     if (params_.coherenceRefreshH > 0.0 &&
         params_.coherenceDriftPerHour > 0.0) {
-        double since = hoursSinceCalibration(tH);
-        double seen = std::floor(since / params_.coherenceRefreshH) *
-                      params_.coherenceRefreshH;
+        double seen = key.refreshStep * params_.coherenceRefreshH;
         double f = 1.0 / (1.0 + params_.coherenceDriftPerHour * seen);
         for (QubitCalibration &q : s.qubits) {
             q.t1Us *= f;
@@ -159,30 +177,58 @@ CalibrationTracker::reported(double tH) const
     return s;
 }
 
+CalibrationTracker::Drift
+CalibrationTracker::driftAt(double tH) const
+{
+    Drift d;
+    d.quality = calQuality_[calIndex(tH)];
+    d.qualityT = 1.0 / std::sqrt(d.quality);
+    d.infl = errorInflation(tH);
+    d.coherenceF = 1.0 / (1.0 + params_.coherenceDriftPerHour *
+                                    hoursSinceCalibration(tH));
+    // Coherent miscalibration drifts more slowly than stochastic error
+    // rates (it is a control-pulse detuning, not a decoherence budget).
+    d.coherentInfl = std::sqrt(d.infl);
+    return d;
+}
+
+QubitCalibration
+CalibrationTracker::actualQubit(const Drift &d, std::size_t q) const
+{
+    QubitCalibration c = base_.qubits[q];
+    applyQuality(c, d.quality, d.qualityT);
+    c.t1Us *= d.coherenceF;
+    c.t2Us = std::min(c.t2Us * d.coherenceF, 2.0 * c.t1Us);
+    c.gate1qError = clampError(c.gate1qError * d.infl);
+    c.readout.p01 = clampError(c.readout.p01 * d.infl);
+    c.readout.p10 = clampError(c.readout.p10 * d.infl);
+    c.coherentRxRad *= d.coherentInfl;
+    return c;
+}
+
+double
+CalibrationTracker::actualCxError(const Drift &d, double base)
+{
+    return clampError(clampError(base * d.quality) * d.infl);
+}
+
+double
+CalibrationTracker::actualCxPhase(const Drift &d, double base)
+{
+    return base * d.quality * d.coherentInfl;
+}
+
 CalibrationSnapshot
 CalibrationTracker::actual(double tH) const
 {
-    std::size_t idx = calIndex(tH);
-    CalibrationSnapshot s = snapshotAtCalibration(idx);
-    double infl = errorInflation(tH);
-    double since = hoursSinceCalibration(tH);
-    double coherenceF =
-        1.0 / (1.0 + params_.coherenceDriftPerHour * since);
-    // Coherent miscalibration drifts more slowly than stochastic error
-    // rates (it is a control-pulse detuning, not a decoherence budget).
-    double coherentInfl = std::sqrt(infl);
-    for (QubitCalibration &q : s.qubits) {
-        q.t1Us *= coherenceF;
-        q.t2Us = std::min(q.t2Us * coherenceF, 2.0 * q.t1Us);
-        q.gate1qError = clampError(q.gate1qError * infl);
-        q.readout.p01 = clampError(q.readout.p01 * infl);
-        q.readout.p10 = clampError(q.readout.p10 * infl);
-        q.coherentRxRad *= coherentInfl;
-    }
+    const Drift d = driftAt(tH);
+    CalibrationSnapshot s = base_;
+    for (std::size_t q = 0; q < s.qubits.size(); ++q)
+        s.qubits[q] = actualQubit(d, q);
     for (auto &[k, v] : s.cxError)
-        v = clampError(v * infl);
+        v = actualCxError(d, v);
     for (auto &[k, v] : s.cxPhaseRad)
-        v *= coherentInfl;
+        v = actualCxPhase(d, v);
     s.timeH = tH;
     return s;
 }

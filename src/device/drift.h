@@ -100,6 +100,53 @@ class CalibrationTracker
     /** The *true* noise at time t (drift and incidents applied). */
     CalibrationSnapshot actual(double tH) const;
 
+    /**
+     * The scale factors that turn the base calibration into actual(t).
+     * actualQubit() and actualCx*() apply them to one entry at a time,
+     * bit-identical to that entry of actual(t), so a consumer that
+     * needs a few qubits derives only those instead of copying the
+     * whole snapshot.
+     */
+    struct Drift
+    {
+        double quality = 1.0;      ///< the calibration cycle's factor
+        double qualityT = 1.0;     ///< its T1/T2 scale, 1/sqrt(quality)
+        double coherenceF = 1.0;   ///< T1/T2 decay since calibration
+        double infl = 1.0;         ///< stochastic error inflation
+        double coherentInfl = 1.0; ///< coherent miscalibration growth
+    };
+    Drift driftAt(double tH) const;
+
+    /** actual(t).qubits[q] from driftAt(t). */
+    QubitCalibration actualQubit(const Drift &d, std::size_t q) const;
+
+    /** actual(t)'s CX error for a pair whose base error is @p base. */
+    static double actualCxError(const Drift &d, double base);
+
+    /** actual(t)'s CX ZZ phase for a pair whose base phase is @p base. */
+    static double actualCxPhase(const Drift &d, double base);
+
+    /**
+     * What reported(t) depends on: the calibration cycle and the
+     * coherence-refresh step within it. Equal keys give identical
+     * reported snapshots, so a cache keyed on it hits for every time
+     * inside one refresh step.
+     */
+    struct ReportedKey
+    {
+        std::size_t calIdx = 0;
+        double refreshStep = 0.0;
+
+        bool operator==(const ReportedKey &o) const
+        {
+            return calIdx == o.calIdx && refreshStep == o.refreshStep;
+        }
+    };
+    ReportedKey reportedKey(double tH) const;
+
+    /** The factory calibration the timeline scales. */
+    const CalibrationSnapshot &base() const { return base_; }
+
     /** Time of the most recent calibration at or before t. */
     double lastCalibrationTime(double tH) const;
 

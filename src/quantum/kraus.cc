@@ -1,12 +1,69 @@
 #include "quantum/kraus.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
 #include "quantum/gates.h"
 
 namespace eqc {
+
+namespace {
+
+/**
+ * thermalRelaxation's channel parameters: the amplitude-damping
+ * probability @p gamma and the pure-dephasing probability @p lambda.
+ */
+void
+thermalParams(double t1Us, double t2Us, double timeUs, double &gamma,
+              double &lambda)
+{
+    if (t1Us <= 0.0 || t2Us <= 0.0)
+        panic("thermalRelaxation: T1/T2 must be positive");
+    // Physically T2 <= 2*T1; clamp silently (calibration jitter can
+    // produce slight violations).
+    t2Us = std::min(t2Us, 2.0 * t1Us);
+    gamma = 1.0 - std::exp(-timeUs / t1Us);
+    // Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1). Phase damping with
+    // parameter l scales coherences by sqrt(1-l), and amplitude damping
+    // already contributes exp(-t/(2 T1)); choosing l = 1 - exp(-2 t/Tphi)
+    // makes the combined coherence decay exactly exp(-t/T2).
+    double invTphi = 1.0 / t2Us - 1.0 / (2.0 * t1Us);
+    lambda = invTphi > 0.0 ? 1.0 - std::exp(-2.0 * timeUs * invTphi)
+                           : 0.0;
+}
+
+/** Row-major 2x2 complex matrix on the stack. */
+using Mat2 = std::array<Complex, 4>;
+
+/** CMatrix::operator* on 2x2: the same i-k-j loop and zero skip. */
+Mat2
+mul2(const Mat2 &a, const Mat2 &b)
+{
+    Mat2 out{};
+    for (int i = 0; i < 2; ++i)
+        for (int k = 0; k < 2; ++k) {
+            const Complex x = a[i * 2 + k];
+            if (x == Complex(0.0, 0.0))
+                continue;
+            for (int j = 0; j < 2; ++j)
+                out[i * 2 + j] += x * b[k * 2 + j];
+        }
+    return out;
+}
+
+/** CMatrix::operator*(Complex) on 2x2. */
+Mat2
+scale2(const Mat2 &a, Complex s)
+{
+    Mat2 out;
+    for (int i = 0; i < 4; ++i)
+        out[i] = a[i] * s;
+    return out;
+}
+
+} // namespace
 
 bool
 KrausChannel::isCPTP(double tol) const
@@ -35,7 +92,7 @@ KrausChannel::composeWith(const KrausChannel &after) const
 }
 
 const CVector &
-KrausChannel::superopMatrix() const
+KrausChannel::superopMatrix() const &
 {
     if (superop_.empty() && !ops.empty()) {
         const std::size_t sub = ops.front().rows();
@@ -135,21 +192,86 @@ phaseDamping(double lambda)
 KrausChannel
 thermalRelaxation(double t1Us, double t2Us, double timeUs)
 {
-    if (t1Us <= 0.0 || t2Us <= 0.0)
-        panic("thermalRelaxation: T1/T2 must be positive");
-    // Physically T2 <= 2*T1; clamp silently (calibration jitter can
-    // produce slight violations).
-    t2Us = std::min(t2Us, 2.0 * t1Us);
-    double gamma = 1.0 - std::exp(-timeUs / t1Us);
-    // Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1). Phase damping with
-    // parameter l scales coherences by sqrt(1-l), and amplitude damping
-    // already contributes exp(-t/(2 T1)); choosing l = 1 - exp(-2 t/Tphi)
-    // makes the combined coherence decay exactly exp(-t/T2).
-    double invTphi = 1.0 / t2Us - 1.0 / (2.0 * t1Us);
-    double lambda = invTphi > 0.0
-                        ? 1.0 - std::exp(-2.0 * timeUs * invTphi)
-                        : 0.0;
+    double gamma, lambda;
+    thermalParams(t1Us, t2Us, timeUs, gamma, lambda);
     return amplitudeDamping(gamma).composeWith(phaseDamping(lambda));
+}
+
+void
+thermalDepolarizingSuperop(double t1Us, double t2Us, double timeUs,
+                           double lambda, Complex *out)
+{
+    // Every step below mirrors one call of the Kraus path; the signed
+    // zeros and rounding of each product must come out the same.
+    static const std::array<Mat2, 3> kPaulis = [] {
+        std::array<Mat2, 3> p;
+        const GateType types[3] = {GateType::X, GateType::Y, GateType::Z};
+        for (int i = 0; i < 3; ++i) {
+            const CMatrix m = gateMatrix(types[i]);
+            for (int e = 0; e < 4; ++e)
+                p[i][e] = m(e / 2, e % 2);
+        }
+        return p;
+    }();
+
+    // thermalRelaxation: amplitudeDamping(gamma), then
+    // phaseDamping(dephase), composed after-major.
+    double gamma, dephase;
+    thermalParams(t1Us, t2Us, timeUs, gamma, dephase);
+    gamma = std::clamp(gamma, 0.0, 1.0);
+    dephase = std::clamp(dephase, 0.0, 1.0);
+    Mat2 amp[2] = {{1.0, 0.0, 0.0, std::sqrt(1.0 - gamma)}};
+    const int nAmp = gamma > 0.0 ? 2 : 1;
+    if (gamma > 0.0)
+        amp[1] = {0.0, std::sqrt(gamma), 0.0, 0.0};
+    Mat2 deph[2] = {{1.0, 0.0, 0.0, std::sqrt(1.0 - dephase)}};
+    const int nDeph = dephase > 0.0 ? 2 : 1;
+    if (dephase > 0.0)
+        deph[1] = {0.0, 0.0, 0.0, std::sqrt(dephase)};
+    Mat2 thermal[4];
+    int nThermal = 0;
+    for (int b = 0; b < nDeph; ++b)
+        for (int a = 0; a < nAmp; ++a)
+            thermal[nThermal++] = mul2(deph[b], amp[a]);
+
+    // depolarizing1q(lambda).
+    if (lambda < 0.0)
+        lambda = 0.0;
+    const double pId = 1.0 - 3.0 * lambda / 4.0;
+    const double pP = lambda / 4.0;
+    Mat2 depol[4] = {scale2({1.0, 0.0, 0.0, 1.0},
+                            Complex(std::sqrt(pId), 0))};
+    const int nDepol = pP > 0.0 ? 4 : 1;
+    if (pP > 0.0)
+        for (int i = 0; i < 3; ++i)
+            depol[i + 1] = scale2(kPaulis[i], Complex(std::sqrt(pP), 0));
+
+    // composeWith (after-major) and superopMatrix's accumulation. Each
+    // operator adds one term to each entry, so only the order over
+    // operators matters. With finite entries a zero factor gives a
+    // signed-zero term, and adding one never changes an accumulator
+    // that starts at +0 (it can never become -0), so skipping those
+    // terms keeps every bit. The operators have at most one nonzero
+    // per row, so at most 4 of the 16 terms remain.
+    std::fill(out, out + 16, Complex(0, 0));
+    for (int d = 0; d < nDepol; ++d)
+        for (int t = 0; t < nThermal; ++t) {
+            const Mat2 k = mul2(depol[d], thermal[t]);
+            for (int rp = 0; rp < 2; ++rp)
+                for (int r = 0; r < 2; ++r) {
+                    const Complex a = k[rp * 2 + r];
+                    if (a == Complex(0.0, 0.0))
+                        continue;
+                    for (int sp = 0; sp < 2; ++sp)
+                        for (int s = 0; s < 2; ++s) {
+                            const Complex b = k[sp * 2 + s];
+                            if (b == Complex(0.0, 0.0))
+                                continue;
+                            out[(rp + 2 * sp) * 4 + (r + 2 * s)] +=
+                                a * std::conj(b);
+                        }
+                }
+        }
 }
 
 void

@@ -42,9 +42,12 @@ struct KrausChannel
      * which beats the Kraus-sum form for every multi-operator channel.
      * Invalidated by nothing: callers must not mutate `ops` after the
      * first apply. Not safe to race the first call from multiple
-     * threads on a *shared* channel instance.
+     * threads on a *shared* channel instance. The result lives in this
+     * channel, so calling it on a temporary would dangle: that overload
+     * is deleted.
      */
-    const CVector &superopMatrix() const;
+    const CVector &superopMatrix() const &;
+    const CVector &superopMatrix() const && = delete;
 
   private:
     mutable CVector superop_;
@@ -72,6 +75,20 @@ KrausChannel phaseDamping(double lambda);
  * standard decomposition used by Aer for T2 <= T1 regimes.
  */
 KrausChannel thermalRelaxation(double t1Us, double t2Us, double timeUs);
+
+/**
+ * The 4x4 superoperator of thermalRelaxation(t1Us, t2Us, timeUs)
+ * followed by depolarizing1q(lambda), written to @p out (16 entries,
+ * row-major, the superopMatrix() layout). Bit-identical to
+ * `thermalRelaxation(...).composeWith(depolarizing1q(...))
+ * .superopMatrix()` for finite inputs: the same operator lists,
+ * products and accumulation order, but on the stack, with no
+ * allocation, and without the terms that have a zero factor (adding
+ * one cannot change an entry). Panics, like thermalRelaxation, on a
+ * non-positive T1 or T2.
+ */
+void thermalDepolarizingSuperop(double t1Us, double t2Us, double timeUs,
+                                double lambda, Complex *out);
 
 /**
  * Per-qubit readout confusion.

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "device/backend.h"
 #include "device/catalog.h"
+#include "quantum/statevector.h"
+#include "sim/fusion.h"
 
 namespace eqc {
 namespace {
@@ -182,6 +188,305 @@ TEST(Drift, DeterministicTimeline)
     for (double t : {0.5, 13.0, 77.7, 200.0})
         EXPECT_DOUBLE_EQ(a.actual(t).avgCxError(),
                          b.actual(t).avgCxError());
+}
+
+/** Bitwise equality of two doubles (distinguishes signed zeros). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+bool
+sameBits(const QubitCalibration &a, const QubitCalibration &b)
+{
+    return sameBits(a.t1Us, b.t1Us) && sameBits(a.t2Us, b.t2Us) &&
+           sameBits(a.gate1qError, b.gate1qError) &&
+           sameBits(a.readout.p01, b.readout.p01) &&
+           sameBits(a.readout.p10, b.readout.p10) &&
+           sameBits(a.coherentRxRad, b.coherentRxRad);
+}
+
+bool
+sameBits(const CalibrationSnapshot &a, const CalibrationSnapshot &b)
+{
+    if (!sameBits(a.timeH, b.timeH) || a.qubits.size() != b.qubits.size())
+        return false;
+    for (std::size_t q = 0; q < a.qubits.size(); ++q)
+        if (!sameBits(a.qubits[q], b.qubits[q]))
+            return false;
+    auto sameMap = [](const auto &x, const auto &y) {
+        if (x.size() != y.size())
+            return false;
+        for (auto i = x.begin(), j = y.begin(); i != x.end(); ++i, ++j)
+            if (i->first != j->first || !sameBits(i->second, j->second))
+                return false;
+        return true;
+    };
+    return sameMap(a.cxError, b.cxError) &&
+           sameMap(a.cxTimeNs, b.cxTimeNs) &&
+           sameMap(a.cxPhaseRad, b.cxPhaseRad);
+}
+
+TEST(Drift, PerEntryDerivationMatchesActualSnapshot)
+{
+    Device d = deviceByName("ibmq_toronto");
+    d.drift.incidentRatePerHour = 0.05; // include incident inflation
+    CalibrationTracker tracker(d.baseCalibration, d.drift, Rng(5));
+    for (double t : {0.0, 0.4, 7.25, 23.9, 61.0, 150.5}) {
+        const CalibrationSnapshot snap = tracker.actual(t);
+        const CalibrationTracker::Drift drift = tracker.driftAt(t);
+        for (std::size_t q = 0; q < snap.qubits.size(); ++q)
+            EXPECT_TRUE(sameBits(tracker.actualQubit(drift, q),
+                                 snap.qubits[q]))
+                << "t=" << t << " q=" << q;
+        for (const auto &[pair, v] : d.baseCalibration.cxError)
+            EXPECT_TRUE(sameBits(
+                CalibrationTracker::actualCxError(drift, v),
+                snap.cxError.at(pair)));
+        for (const auto &[pair, v] : d.baseCalibration.cxPhaseRad)
+            EXPECT_TRUE(sameBits(
+                CalibrationTracker::actualCxPhase(drift, v),
+                snap.cxPhaseRad.at(pair)));
+    }
+}
+
+TEST(Drift, ReportedIsAFunctionOfItsKey)
+{
+    Device d = deviceByName("ibmq_bogota");
+    CalibrationTracker tracker(d.baseCalibration, d.drift, Rng(3));
+    // 0.1 h and 0.9 h share the first coherence-refresh step; 1.2 h
+    // starts the next one.
+    const auto k1 = tracker.reportedKey(0.1);
+    EXPECT_TRUE(k1 == tracker.reportedKey(0.9));
+    EXPECT_FALSE(k1 == tracker.reportedKey(1.2));
+    EXPECT_TRUE(sameBits(tracker.reported(0.1), tracker.reported(0.9)));
+}
+
+TEST(Backend, ReportedCalibrationCacheReturnsTrackerBits)
+{
+    Device d = deviceByName("ibmq_casablanca");
+    SimulatedQpu qpu(d, 4);
+    // Same step, next step, back again, another cycle, and repeats:
+    // every answer must equal the tracker's, hit or miss.
+    for (double t : {0.1, 0.5, 0.95, 1.2, 0.3, 30.5, 30.7, 30.7, 0.2})
+        EXPECT_TRUE(sameBits(qpu.reportedCalibration(t),
+                             qpu.tracker().reported(t)))
+            << "t=" << t;
+}
+
+/** |++> -> CX -> H H: |00> ideally, sensitive to every error term. */
+QuantumCircuit
+coherenceProbe()
+{
+    QuantumCircuit c(2, 0);
+    c.h(0);
+    c.h(1);
+    c.cx(0, 1);
+    c.h(0);
+    c.h(1);
+    c.measureAll();
+    return c;
+}
+
+TEST(Backend, CoherentOnlyErrorsAreNotDropped)
+{
+    const Device ideal = makeIdealDevice(2);
+    const TranspiledCircuit tc = transpile(coherenceProbe(), ideal.coupling);
+    Rng rng(1);
+    SimulatedQpu idealQpu(ideal, 1);
+    const double pIdeal = idealQpu.execute(tc, {}, 0, 0.5, rng, false)
+                              .probabilities[0];
+    EXPECT_NEAR(pIdeal, 1.0, 1e-12);
+
+    // A device whose only error is coherent SX/X over-rotation, a CX
+    // ZZ phase, or pure dephasing must not take the noiseless path.
+    for (int variant = 0; variant < 3; ++variant) {
+        Device dev = ideal;
+        if (variant == 0)
+            dev.baseCalibration.qubits[0].coherentRxRad = 0.2;
+        else if (variant == 1)
+            dev.baseCalibration.cxPhaseRad[{0, 1}] = 0.3;
+        else
+            for (auto &q : dev.baseCalibration.qubits)
+                q.t2Us = 0.05;
+        SimulatedQpu qpu(dev, 1);
+        const double p =
+            qpu.execute(tc, {}, 0, 0.5, rng, false).probabilities[0];
+        EXPECT_LT(p, 1.0 - 1e-4) << "variant " << variant;
+    }
+}
+
+TEST(Backend, IdealDeviceTakesStatevectorFastPath)
+{
+    const Device ideal = makeIdealDevice(3);
+    QuantumCircuit c(3, 1);
+    c.h(0);
+    c.ry(1, ParamExpr::symbol(0));
+    c.cx(0, 1);
+    c.cx(1, 2);
+    c.rz(2, ParamExpr::symbol(0, 0.5, 0.25));
+    c.measureAll();
+    const TranspiledCircuit tc = transpile(c, ideal.coupling);
+    const std::vector<double> params = {0.7};
+    SimulatedQpu qpu(ideal, 1);
+    Rng rng(1);
+    const JobResult r = qpu.execute(tc, params, 0, 3.0, rng, false);
+
+    Statevector sv(tc.compact.numQubits());
+    applyFusedProgram(fuseForSimulation(tc.compact, FusionMode::Full),
+                      params, sv);
+    const std::vector<double> expect = sv.probabilities();
+    ASSERT_EQ(r.probabilities.size(), expect.size());
+    EXPECT_EQ(std::memcmp(r.probabilities.data(), expect.data(),
+                          expect.size() * sizeof(double)),
+              0);
+}
+
+/** A 4-qubit GHZ-style circuit with one bound parameter. */
+QuantumCircuit
+ghzProbe()
+{
+    QuantumCircuit c(4, 1);
+    c.h(0);
+    for (int q = 0; q + 1 < 4; ++q)
+        c.cx(q, q + 1);
+    c.ry(3, ParamExpr::symbol(0));
+    c.measureAll();
+    return c;
+}
+
+/** GHZ-style again, but fanned out from qubit 0 (another layout). */
+QuantumCircuit
+starProbe()
+{
+    QuantumCircuit c(4, 1);
+    c.h(0);
+    for (int q = 1; q < 4; ++q)
+        c.cx(0, q);
+    c.ry(3, ParamExpr::symbol(0));
+    c.measureAll();
+    return c;
+}
+
+bool
+sameProbabilities(const JobResult &a, const JobResult &b)
+{
+    return a.probabilities.size() == b.probabilities.size() &&
+           std::memcmp(a.probabilities.data(), b.probabilities.data(),
+                       a.probabilities.size() * sizeof(double)) == 0;
+}
+
+TEST(Backend, NoiseCoverageMissRebuildsBitIdentically)
+{
+    // Two layouts on the 27-qubit device: the second circuit executed
+    // at an already-cached hour needs qubits and pairs the first did
+    // not touch, so its context is rebuilt with wider coverage.
+    const Device dev = deviceByName("ibmq_toronto");
+    TranspileOptions trivial;
+    trivial.useGreedyLayout = false;
+    const TranspiledCircuit a = transpile(ghzProbe(), dev.coupling, trivial);
+    const TranspiledCircuit b = transpile(ghzProbe(), dev.coupling);
+    const std::set<int> physA(a.compactToPhysical.begin(),
+                              a.compactToPhysical.end());
+    bool disjoint = false;
+    for (int p : b.compactToPhysical)
+        disjoint = disjoint || physA.count(p) == 0;
+    ASSERT_TRUE(disjoint);
+
+    const std::vector<double> params = {0.4};
+    const double t = 5.5;
+    auto run = [&](const TranspiledCircuit &first,
+                   const TranspiledCircuit &second) {
+        SimulatedQpu qpu(dev, 9);
+        Rng rng(1);
+        JobResult r1 = qpu.execute(first, params, 0, t, rng, false);
+        JobResult r2 = qpu.execute(second, params, 0, t, rng, false);
+        JobResult r1Again = qpu.execute(first, params, 0, t, rng, false);
+        EXPECT_TRUE(sameProbabilities(r1, r1Again));
+        return std::make_pair(r1, r2);
+    };
+    const auto ab = run(a, b);
+    const auto ba = run(b, a);
+    EXPECT_TRUE(sameProbabilities(ab.first, ba.second));
+    EXPECT_TRUE(sameProbabilities(ab.second, ba.first));
+}
+
+TEST(Backend, ConcurrentLayoutsOnOneQpuGiveSameBits)
+{
+    // Threads registering plans and rebuilding contexts for different
+    // layouts at shared hours must leave every result as a lone run's.
+    const Device dev = deviceByName("ibmq_toronto");
+    TranspileOptions trivial;
+    trivial.useGreedyLayout = false;
+    const TranspiledCircuit circuits[4] = {
+        transpile(ghzProbe(), dev.coupling, trivial),
+        transpile(ghzProbe(), dev.coupling),
+        transpile(starProbe(), dev.coupling, trivial),
+        transpile(starProbe(), dev.coupling)};
+    const std::vector<double> params = {0.8};
+    const double hours[3] = {1.0, 1.5, 2.0};
+
+    JobResult expect[4][3];
+    for (int c = 0; c < 4; ++c)
+        for (int h = 0; h < 3; ++h) {
+            SimulatedQpu lone(dev, 6);
+            Rng rng(1);
+            expect[c][h] =
+                lone.execute(circuits[c], params, 0, hours[h], rng, false);
+        }
+
+    // Each round starts from a fresh QPU and releases its threads
+    // together, so the first sights of all four plans overlap.
+    const int kThreads = 4;
+    int mismatches[kThreads] = {};
+    for (int round = 0; round < 64; ++round) {
+        SimulatedQpu shared(dev, 6);
+        std::atomic<int> waiting{kThreads};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                waiting.fetch_sub(1);
+                while (waiting.load() > 0)
+                    std::this_thread::yield();
+                Rng rng(1);
+                for (int i = 0; i < 8; ++i) {
+                    const int c = (t + i) % 4, h = (t + round + i / 4) % 3;
+                    if (!sameProbabilities(
+                            shared.execute(circuits[c], params, 0, hours[h],
+                                           rng, false),
+                            expect[c][h]))
+                        ++mismatches[t];
+                }
+            });
+        for (std::thread &th : threads)
+            th.join();
+    }
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+TEST(Backend, MovedQpuGivesSameBits)
+{
+    const Device dev = deviceByName("ibmq_toronto");
+    TranspileOptions trivial;
+    trivial.useGreedyLayout = false;
+    const TranspiledCircuit a = transpile(ghzProbe(), dev.coupling, trivial);
+    const TranspiledCircuit b = transpile(ghzProbe(), dev.coupling);
+    const std::vector<double> params = {1.1};
+
+    // Warm the plan cache, a noise context and its coverage, then move.
+    SimulatedQpu source(dev, 2);
+    Rng rng(1);
+    source.execute(a, params, 0, 2.0, rng, false);
+    SimulatedQpu moved(std::move(source));
+    SimulatedQpu fresh(dev, 2);
+    for (double t : {2.0, 9.0})
+        for (const TranspiledCircuit *tc : {&a, &b})
+            EXPECT_TRUE(sameProbabilities(
+                moved.execute(*tc, params, 0, t, rng, false),
+                fresh.execute(*tc, params, 0, t, rng, false)))
+                << "t=" << t;
 }
 
 TEST(QueueModel, CongestionIsPeriodic)
